@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet test test-race chaos crash soak diff-oracle diff-oracle-quick semoracle semoracle-quick coverage-floor docs-check bench bench-json bench-json-quick bench-gate bench-scaling scenario-json profile fuzz ci
+.PHONY: build vet test perfbench-build test-race chaos crash soak diff-oracle diff-oracle-quick semoracle semoracle-quick coverage-floor docs-check bench bench-json bench-json-quick bench-gate bench-scaling scenario-json profile fuzz ci
 
 build:
 	$(GO) build ./...
@@ -12,6 +12,15 @@ vet:
 
 test: build vet
 	$(GO) test ./...
+
+# The benchmark harness (perfbench/) is its own module — `replace polyise
+# => ../`, no other dependencies, so this works offline — and uses the
+# engine's internal packages, which tier-1 `go test ./...` does not see.
+# Build and vet it so an engine API change that breaks the benchmark fails
+# here instead of at benchmark time. The binary goes to /dev/null, so the
+# checkout stays clean.
+perfbench-build:
+	cd perfbench && $(GO) build -o /dev/null ./... && $(GO) vet ./...
 
 # The concurrency suite (sharded enumeration, worker pool, ordered merge)
 # only proves state ownership under the race detector. -short trims the
@@ -171,4 +180,4 @@ fuzz:
 	$(GO) test -fuzz=FuzzExprCompile -fuzztime=30s ./internal/exprc/
 	$(GO) test -fuzz=FuzzInterpRun -fuzztime=30s ./internal/interp/
 
-ci: test test-race chaos crash soak docs-check diff-oracle-quick semoracle-quick coverage-floor bench-gate
+ci: test perfbench-build test-race chaos crash soak docs-check diff-oracle-quick semoracle-quick coverage-floor bench-gate

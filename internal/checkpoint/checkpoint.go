@@ -1,10 +1,10 @@
 // Package checkpoint defines the durable on-disk snapshot format that makes
 // long enumeration runs crash-tolerant. A snapshot captures the enumeration
 // state at a serial-order visit point — the count of cuts already delivered,
-// the top-level frontier position, the global dedup digest table, the open
-// search frames of a serial run, and partial work counters — together with
-// the identities needed to refuse a wrong resume: a content hash of the
-// input graph and a fingerprint of the semantically relevant Options.
+// the top-level frontier position, the global dedup digest table and
+// partial work counters — together with the identities needed to refuse a
+// wrong resume: a content hash of the input graph and a fingerprint of the
+// semantically relevant Options.
 //
 // The format is deliberately dumb: a fixed magic, a version number,
 // little-endian fixed-width fields, and a trailing SHA-256 over everything
@@ -43,14 +43,13 @@ const Magic = "polyckpt"
 // a resumable run state, not an archival format.
 const Version = 1
 
-// Frame is one open search frame of a serial run: a claimed position range
-// at one (outputs, inputs) prefix — the stealTask representation of
-// internal/enum/parallel.go, flattened. Cur is the position whose subtree
-// was in progress at snapshot time (to be replayed); positions before Cur
-// in the range are fully explored; (Cur, End) is untouched. OutsLen/InsLen
-// say how much of the Snapshot's Outs/Ins stacks were live below this
-// frame, which is what lets a resume verify it is fast-forwarding along the
-// same path before skipping work.
+// Frame is one open search frame of a serial run, as earlier builds wrote
+// it: a claimed position range at one (outputs, inputs) prefix. Cur is the
+// position whose subtree was in progress at snapshot time; positions
+// before Cur in the range were fully explored; (Cur, End) was untouched.
+// OutsLen/InsLen say how much of the Snapshot's Outs/Ins stacks were live
+// below this frame. Frames are part of the format only so those files
+// still decode; see Snapshot.Frames.
 type Frame struct {
 	Depth    int
 	Cur, End int
@@ -107,9 +106,9 @@ type Snapshot struct {
 	// not in the table re-validates to the same verdict).
 	HasZero bool
 	Digests [][2]uint64
-	// Outs, Ins and Frames are the open serial search frames (empty for
-	// parallel or post-panic snapshots, where resume replays the whole
-	// CurTop subtree instead of fast-forwarding).
+	// Outs, Ins and Frames are the open search frames of a serial run:
+	// decoded for compatibility, written empty, ignored on resume (which
+	// replays the whole CurTop subtree).
 	Outs   []int
 	Ins    []int
 	Frames []Frame

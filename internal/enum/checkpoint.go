@@ -31,15 +31,10 @@ package enum
 // the same nodes to the same verdicts, so the first novel delivery is
 // exactly the cut the interrupted run would have delivered next.
 //
-// Serial snapshots additionally carry the open pickOutputRange frames (the
-// stealTask representation: (O,I) prefixes plus position ranges), used as a
-// fast-forward path: a replayed frame whose identity matches a saved frame
-// starts its loop at the saved position, skipping the fully-explored
-// prefix of its range (ffwdEngage). Frames alone cannot BE the resume —
-// the seed-extension loops between them thread cross-iteration state
-// (lastValid under PruneDominatorInput) that is deliberately not
-// serialized, for exactly the reason those loops are not stealable (see
-// posRange) — so fast-forward accelerates the replay without replacing it.
+// One visit point (visitPoint, visit.go) takes every snapshot, serial or
+// parallel, so both have the same shape. Snapshots carry no search frames
+// (checkpoint.Frame): files from earlier builds that have them still
+// decode, and resume ignores the frames, since the replay needs none.
 //
 // Dedup-scope compatibility across the seam: serial tables hold every
 // candidate digest, the parallel merge's table only delivered cuts'. Both
@@ -51,12 +46,10 @@ package enum
 import (
 	"errors"
 	"fmt"
-	"runtime/debug"
 
 	"polyise/internal/bitset"
 	"polyise/internal/checkpoint"
 	"polyise/internal/dfg"
-	"polyise/internal/faultinject"
 	"polyise/internal/parallel"
 )
 
@@ -95,48 +88,6 @@ func optionsFingerprint(opt Options) uint64 {
 	return h.Sum()[0]
 }
 
-// ckptWriter owns one run's snapshot output: the destination path and the
-// precomputed identity fields every snapshot carries.
-type ckptWriter struct {
-	path    string
-	gHash   [2]uint64
-	gN      int
-	optHash uint64
-}
-
-func newCkptWriter(g *dfg.Graph, opt Options) *ckptWriter {
-	return &ckptWriter{
-		path:    opt.CheckpointPath,
-		gHash:   checkpoint.GraphDigest(g),
-		gN:      g.N(),
-		optHash: optionsFingerprint(opt),
-	}
-}
-
-// write persists one snapshot atomically. The faultinject site lets the
-// chaos suite kill a run in the middle of a snapshot write and prove the
-// previous snapshot survives (checkpoint.WriteFile is temp+rename). A
-// panic during the write is contained here and surfaced as the write
-// error — snapshot writes happen at the final-write and merge-drain call
-// sites that sit outside the workers' recoverPanic scope, so containment
-// must live with the write itself.
-func (ck *ckptWriter) write(s *checkpoint.Snapshot) (err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = &PanicError{Value: v, Stack: debug.Stack()}
-		}
-	}()
-	if h := faultinject.OnCheckpointWrite; h != nil {
-		h()
-	}
-	return checkpoint.WriteFile(ck.path, s)
-}
-
-// newSnap starts a snapshot with the run's identity fields filled in.
-func (ck *ckptWriter) newSnap() *checkpoint.Snapshot {
-	return &checkpoint.Snapshot{GraphHash: ck.gHash, GraphN: ck.gN, OptHash: ck.optHash}
-}
-
 // countersOf extracts the advisory work counters of a Stats.
 func countersOf(s Stats) checkpoint.Counters {
 	return checkpoint.Counters{
@@ -164,169 +115,6 @@ func statsFromCounters(c checkpoint.Counters) Stats {
 		OutputsTried: int(c.OutputsTried),
 		Steals:       int(c.Steals),
 	}
-}
-
-// liveSnap captures the serial worker's current state as a snapshot: the
-// delivered count, the in-progress top-level position, every candidate
-// digest seen so far, and the open pickOutputRange frames with the choice
-// stacks backing them. Everything is copied — the capture must survive the
-// stack unwinding that follows a stop.
-func (e *incEnum) liveSnap() *checkpoint.Snapshot {
-	s := e.ck.newSnap()
-	s.Reason = uint8(e.stats.StopReason)
-	s.Visited = int64(e.stats.Valid)
-	s.CurTop = e.topPos
-	s.Stats = countersOf(e.stats)
-	s.Digests = e.seen.AppendDigests(nil)
-	s.Outs = append([]int(nil), e.outs...)
-	s.Ins = append([]int(nil), e.Ilist...)
-	if len(e.ranges) > 0 {
-		s.Frames = make([]checkpoint.Frame, len(e.ranges))
-		for i, r := range e.ranges {
-			s.Frames[i] = checkpoint.Frame{
-				Depth: r.depth, Cur: r.cur, End: r.end,
-				OutsLen: r.outsLen, InsLen: r.insLen,
-				NinLeft: r.ninLeft, NoutLeft: r.noutLeft,
-			}
-		}
-	}
-	return s
-}
-
-// doneSnap is the completion snapshot: the run exhausted the search space,
-// so only the identity and the final counters matter — no dedup table, no
-// frames, nothing to resume.
-func (e *incEnum) doneSnap() *checkpoint.Snapshot {
-	s := e.ck.newSnap()
-	s.Done = true
-	s.Visited = int64(e.stats.Valid)
-	s.CurTop = e.g.N()
-	s.Stats = countersOf(e.stats)
-	return s
-}
-
-// captureSnap records the live state at the serial stop moment, for the
-// final snapshot write after the search unwinds. The first stop wins; the
-// capture is valid even when the stop is a contained panic — the unwinding
-// runs no frame epilogues, so e.ranges still holds the frame stack, whose
-// claimed positions are coherent ([start, cur) fully explored at every
-// level; the in-flight cur subtrees are replayed on resume).
-func (e *incEnum) captureSnap() {
-	if e.ck == nil || e.pendSnap != nil {
-		return
-	}
-	e.pendSnap = e.liveSnap()
-}
-
-// writePeriodic writes a mid-run snapshot from the live state (serial
-// periodic cadence; called at the visit point in checkCut). A failed write
-// stops the run with StopError: continuing would silently void durability.
-func (e *incEnum) writePeriodic() {
-	if err := e.ck.write(e.liveSnap()); err != nil {
-		e.fail(err)
-	}
-}
-
-// writeFinal writes the stop-time snapshot of a serial run: the state
-// captured at the stop moment, or the completion snapshot when the run
-// exhausted the search space.
-func (e *incEnum) writeFinal() {
-	snap := e.pendSnap
-	if snap == nil {
-		if e.stats.StopReason != StopNone {
-			snap = e.liveSnap() // defensive: stop without a capture point
-		} else {
-			snap = e.doneSnap()
-		}
-	}
-	if err := e.ck.write(snap); err != nil && e.stats.Err == nil {
-		e.stats.Err = err
-		e.stats.RecordStop(StopError)
-	}
-}
-
-// mergeSnap builds a parallel run's snapshot from the merge state: the
-// delivered count, the top-level position of the last delivered cut (every
-// earlier position is fully drained by merge order), and the global dedup
-// table of delivered cuts. Parallel snapshots carry no frames — resume
-// replays the whole CurTop subtree, because worker frame stacks are
-// schedule-dependent and never quiescent at the merge's visit point.
-func (ck *ckptWriter) mergeSnap(seen *sigSet, visited, curTop int, agg Stats) *checkpoint.Snapshot {
-	s := ck.newSnap()
-	s.Reason = uint8(agg.StopReason)
-	s.Visited = int64(visited)
-	s.CurTop = curTop
-	agg.Valid = visited
-	s.Stats = countersOf(agg)
-	s.Digests = seen.AppendDigests(nil)
-	return s
-}
-
-// resumeState carries a validated snapshot into the run internals.
-type resumeState struct {
-	startTop int
-	visited  int64
-	stats    Stats // counter baseline (advisory; Valid is overwritten)
-	digests  [][2]uint64
-	outs     []int
-	ins      []int
-	frames   []checkpoint.Frame
-}
-
-// installResume seeds a serial worker from the snapshot: the dedup table
-// (the suppression mechanism for the replayed subtree), the counter
-// baseline with Valid set to the delivered count — which keeps MaxCuts and
-// CheckpointEvery counting globally across the seam — and the saved frames
-// for fast-forward.
-func (e *incEnum) installResume(rs *resumeState) {
-	for _, d := range rs.digests {
-		e.seen.Insert(d)
-	}
-	e.stats = rs.stats
-	e.stats.Valid = int(rs.visited)
-	if len(rs.frames) > 0 {
-		e.ffwd = rs.frames
-		e.ffwdOuts = rs.outs
-		e.ffwdIns = rs.ins
-	}
-}
-
-// ffwdEngage tries to align the just-pushed pickOutputRange frame at stack
-// index ri with the resumed snapshot's saved frame of the same index. The
-// frame identity — depth, range end, budgets, and the full (outs, Ilist)
-// stacks at frame entry — determines the search node uniquely (each node
-// is one choice sequence), so a full match means this IS the saved frame:
-// the loop may start at the saved position, skipping the fully-explored
-// [start, Cur) prefix. A mismatch just means the replay is passing through
-// an earlier sibling node on its way to the saved path; nothing engages
-// and nothing is skipped. Engagement is gated on e.ffwdOn — the number of
-// saved frames currently matched-and-on-path — so a deeper saved frame can
-// only engage while every shallower one is still sitting at its saved
-// position (the claim loop truncates ffwdOn the moment a matched level
-// moves past it).
-func (e *incEnum) ffwdEngage(ri, depth, start, end, ninLeft, noutLeft int) {
-	if ri != e.ffwdOn || ri >= len(e.ffwd) {
-		return
-	}
-	f := e.ffwd[ri]
-	if f.Depth != depth || f.End != end || f.Cur < start ||
-		f.NinLeft != ninLeft || f.NoutLeft != noutLeft ||
-		f.OutsLen != len(e.outs) || f.InsLen != len(e.Ilist) ||
-		f.OutsLen > len(e.ffwdOuts) || f.InsLen > len(e.ffwdIns) {
-		return
-	}
-	for i, o := range e.outs {
-		if e.ffwdOuts[i] != o {
-			return
-		}
-	}
-	for i, v := range e.Ilist {
-		if e.ffwdIns[i] != v {
-			return
-		}
-	}
-	e.ranges[ri].cur = f.Cur - 1 // the loop's next claim is the saved Cur
-	e.ffwdOn = ri + 1
 }
 
 // ResumeEnumerate continues an interrupted enumeration from a decoded
@@ -375,20 +163,11 @@ func ResumeEnumerate(g *dfg.Graph, opt Options, snap *checkpoint.Snapshot, visit
 	if snap.CurTop < 0 || snap.CurTop > g.N() {
 		return Stats{}, &checkpoint.FormatError{Reason: "frontier position out of range"}
 	}
-	rs := &resumeState{
-		startTop: snap.CurTop,
-		visited:  snap.Visited,
-		stats:    statsFromCounters(snap.Stats),
-		digests:  snap.Digests,
-		outs:     snap.Outs,
-		ins:      snap.Ins,
-		frames:   snap.Frames,
-	}
 	var stats Stats
 	if w := parallel.Workers(opt.Parallelism); w > 1 && g.N() > 1 {
-		stats = enumerateParallel(g, opt, visit, w, rs)
+		stats = enumerateParallel(g, opt, visit, w, snap)
 	} else {
-		stats = enumerateSerial(g, opt, visit, rs)
+		stats = enumerateSerial(g, opt, visit, snap)
 	}
 	if stats.Err != nil {
 		return stats, stats.Err

@@ -140,8 +140,9 @@ func TestResumeAfterBudgetStop(t *testing.T) {
 // TestResumeFromMidRunSnapshot is the hard-crash case: a periodic snapshot
 // copied away mid-run (as a crashed process would leave it, behind the
 // delivered frontier) must resume to exactly the remaining serial suffix.
-// The serial × CheckpointEvery=1 case additionally exercises the saved
-// fast-forward frames at maximum depth.
+// With CheckpointEvery=1 the copied snapshot is the one written at the
+// previous visit point, so the resume replays the frontier subtree right
+// up to the last delivered cut.
 func TestResumeFromMidRunSnapshot(t *testing.T) {
 	g := workload.MiBenchLike(rand.New(rand.NewSource(2)), 35, workload.DefaultProfile())
 	sopt := enum.DefaultOptions()

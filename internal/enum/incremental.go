@@ -54,41 +54,32 @@ func Enumerate(g *dfg.Graph, opt Options, visit func(Cut) bool) Stats {
 }
 
 // enumerateSerial is the serial run loop, shared by Enumerate and
-// ResumeEnumerate: rs, when non-nil, seeds the worker from a snapshot and
-// restarts the top-level loop at the snapshot's frontier position.
-func enumerateSerial(g *dfg.Graph, opt Options, visit func(Cut) bool, rs *resumeState) Stats {
-	sh := newEnumShared(g, opt)
-	e := sh.newWorker(visit, nil)
-	if opt.CheckpointPath != "" {
-		e.ck = newCkptWriter(g, opt)
-	}
-	start := 0
-	if rs != nil {
-		start = rs.startTop
-		e.installResume(rs)
+// ResumeEnumerate: snap, when non-nil, seeds the run from a snapshot and
+// restarts the top-level loop at the snapshot's frontier position. The
+// worker's table is the run's global dedup table, so its novel valid cuts
+// go straight to the visit point.
+func enumerateSerial(g *dfg.Graph, opt Options, visit func(Cut) bool, snap *checkpoint.Snapshot) Stats {
+	var vp *visitPoint
+	top := 0
+	e := newEnumShared(g, opt).newWorker(func(c Cut) bool { return vp.deliver(top, c) }, nil)
+	vp = newVisitPoint(g, opt, visit, snap, e.seen, &e.stats)
+	if snap != nil {
+		top = snap.CurTop
+		e.stats = statsFromCounters(snap.Stats)
 	}
 	func() {
-		// Failure semantics (serial): a panic anywhere in the search — the
-		// visitor included — is contained here, converted to Stats.Err with
-		// the captured stack, and reported as StopReason = StopError. The
-		// cuts already visited are a coherent prefix of the enumeration
-		// order; the worker state is abandoned, so containment needs no
-		// repair beyond stopping (and, when checkpointing, writing the
-		// final snapshot from the stop-time capture below).
+		// Failure semantics (serial): a panic anywhere in the search is
+		// contained here (the visitor's own at the visit point), converted
+		// to Stats.Err with the captured stack, and reported as StopReason
+		// = StopError. The cuts already visited are a coherent prefix of
+		// the enumeration order; the worker state is abandoned, so
+		// containment needs no repair beyond stopping.
 		defer e.recoverPanic()
-		for pos := start; pos < g.N(); pos++ {
-			if e.stopped {
-				break
-			}
-			e.topLevel(pos)
-			// Saved fast-forward frames only address the replayed first
-			// subtree; past it the resumed run is in novel territory.
-			e.ffwd = nil
+		for ; top < g.N() && !e.stopped; top++ {
+			e.topLevel(top)
 		}
 	}()
-	if e.ck != nil {
-		e.writeFinal()
-	}
+	vp.finish(&e.stats)
 	return e.stats
 }
 
@@ -181,16 +172,17 @@ func permanentOutput(g *dfg.Graph, v int) bool {
 // newWorker allocates one enumeration worker with private mutable state (the
 // clone-per-shard ownership the parallel enumeration relies on): validator,
 // dedup map, every bitset scratch buffer and the flow solver are owned
-// exclusively by the returned worker. ext, when non-nil, is an external stop
-// flag polled during the search (used to cancel sibling shards after an
-// early visitor stop).
-func (sh *enumShared) newWorker(visit func(Cut) bool, ext *atomic.Bool) *incEnum {
+// exclusively by the returned worker. emit receives the worker's novel
+// valid cuts and returns false when the run must stop. ext, when non-nil,
+// is an external stop flag polled during the search (used to cancel
+// sibling shards after an early visitor stop).
+func (sh *enumShared) newWorker(emit func(Cut) bool, ext *atomic.Bool) *incEnum {
 	n := sh.g.N()
 	S := bitset.New(n)
 	return &incEnum{
 		g:       sh.g,
 		opt:     sh.opt,
-		visit:   visit,
+		emit:    emit,
 		pdt:     sh.pdt,
 		entries: sh.entries,
 		permOut: sh.permOut,
@@ -209,7 +201,7 @@ func (sh *enumShared) newWorker(visit func(Cut) bool, ext *atomic.Bool) *incEnum
 type incEnum struct {
 	g     *dfg.Graph
 	opt   Options
-	visit func(Cut) bool
+	emit  func(Cut) bool // to the visit point (serial) or the merge (parallel)
 	pdt   *domtree.Tree
 	dval  *DeltaValidator // incremental validation engine, worker-owned
 	tr    *dfg.Traverser  // word-parallel traversal kernels, worker-owned
@@ -250,21 +242,6 @@ type incEnum struct {
 	// stallTimer is the reusable watchdog timer guarding handoff sends
 	// (sendTask); allocated on the first donation, reset per send.
 	stallTimer *time.Timer
-
-	// Checkpoint state, nil/zero unless Options.CheckpointPath is set on a
-	// serial run (the parallel merge owns its own writer): ck writes
-	// snapshots, topPos tracks the current top-level position, pendSnap is
-	// the state captured at the stop moment for the final snapshot. The
-	// ffwd fields carry a resumed snapshot's saved frames and backing
-	// choice stacks for fast-forward (ffwdEngage); ffwdOn counts the saved
-	// frames currently matched and still on the saved path.
-	ck       *ckptWriter
-	topPos   int
-	pendSnap *checkpoint.Snapshot
-	ffwd     []checkpoint.Frame
-	ffwdOuts []int
-	ffwdIns  []int
-	ffwdOn   int
 }
 
 // posRange is one live pickOutputRange frame: the topological positions
@@ -509,7 +486,6 @@ func (e *incEnum) topLevel(pos int) {
 	if e.stopped || e.opt.MaxOutputs <= 0 {
 		return
 	}
-	e.topPos = pos // the snapshot frontier: positions before this are done
 	o := e.g.Topo()[pos]
 	if !e.admissibleOutput(o) {
 		return
@@ -580,9 +556,6 @@ func (e *incEnum) pickOutputRange(depth, start, end, ninLeft, noutLeft int) {
 		outsLen: len(e.outs), insLen: len(e.Ilist),
 		ninLeft: ninLeft, noutLeft: noutLeft,
 	})
-	if e.ffwd != nil {
-		e.ffwdEngage(ri, depth, start, end, ninLeft, noutLeft)
-	}
 	// The frame must be addressed as e.ranges[ri] afresh after any
 	// recursion: deeper levels append to the slice and may move it.
 	for !e.stopped {
@@ -591,11 +564,6 @@ func (e *incEnum) pickOutputRange(depth, start, end, ninLeft, noutLeft int) {
 			break
 		}
 		e.ranges[ri].cur = pos
-		if e.ffwd != nil && e.ffwdOn > ri && pos != e.ffwd[ri].Cur {
-			// A matched level moved past its saved position: the walk left
-			// the saved path here, so deeper saved frames no longer apply.
-			e.ffwdOn = ri
-		}
 		o := topo[pos]
 		if !e.admissibleOutput(o) {
 			continue
@@ -1101,11 +1069,6 @@ func (e *incEnum) stopExternal(r StopReason) {
 	if e.ext != nil {
 		e.ext.Store(true)
 	}
-	// Serial checkpointing runs capture the stop-time state here — before
-	// the unwinding pops any frame — for the final snapshot (captureSnap is
-	// a no-op when no checkpoint path is configured). This covers every
-	// serial stop cause, contained panics included: fail() routes here.
-	e.captureSnap()
 }
 
 // fail records err as the worker's first error and stops the run with
@@ -1204,38 +1167,14 @@ func (e *incEnum) checkCut(depth, oTopo, ninLeft, noutLeft int) {
 		} else {
 			var cut Cut
 			if e.dval.Validate(&cut) {
-				e.stats.Valid++
 				if e.opt.KeepCuts {
 					cut.Nodes = cut.Nodes.Clone()
 				}
-				if !e.visit(cut) {
-					// In parallel runs the emit wrapper returns false only
-					// when the global stop is already raised — the real
-					// reason (visitor stop, budget, …) is recorded by the
-					// merge, not here.
-					if e.ext == nil {
-						e.stats.RecordStop(StopVisitor)
-					}
+				if !e.emit(cut) {
+					// The visit point or, in parallel runs, the merge has
+					// recorded why (visitor stop, budget, …).
 					e.stopped = true
-					e.captureSnap()
 					return
-				}
-				// The serial cuts-retained cap; the parallel one lives in
-				// the merge drain, where global visit order is known.
-				if e.opt.MaxCuts > 0 && e.ext == nil && e.stats.Valid >= e.opt.MaxCuts {
-					e.stopExternal(StopBudget)
-					return
-				}
-				// Serial periodic checkpoint cadence, at the visit point
-				// (the parallel one lives in the merge drain): frames are
-				// coherent here — every level's earlier positions are fully
-				// explored — so the snapshot resumes bit-exactly.
-				if e.ck != nil && e.opt.CheckpointEvery > 0 &&
-					e.stats.Valid%e.opt.CheckpointEvery == 0 {
-					e.writePeriodic()
-					if e.stopped {
-						return
-					}
 				}
 			} else {
 				e.stats.Invalid++

@@ -164,9 +164,8 @@ type Options struct {
 	KeepCuts bool
 
 	// Deadline, when non-zero, aborts the enumeration once the wall clock
-	// passes it; Stats.StopReason reports StopDeadline (and the deprecated
-	// TimedOut alias stays set). The check runs every few thousand search
-	// steps, so overruns are small.
+	// passes it; Stats.StopReason reports StopDeadline. The check runs every
+	// few thousand search steps, so overruns are small.
 	Deadline time.Time
 
 	// Context, when non-nil, cancels the enumeration once its Done channel
@@ -226,7 +225,7 @@ type Options struct {
 	// StopCheckpoint. This is the preemption hook — SIGINT handlers and
 	// job schedulers close it instead of canceling the Context, turning
 	// "shut down" into "park the run on disk". Polled at the same sampled
-	// sites as Deadline.
+	// sites as Deadline and after every delivered cut.
 	CheckpointStop <-chan struct{}
 
 	// StealStallTimeout bounds how long a parallel donor waits for a
@@ -293,10 +292,4 @@ type Stats struct {
 	// *StallError for a steal handoff the watchdog declared dead, or a
 	// baseline-specific error. Non-nil implies StopReason == StopError.
 	Err error
-
-	// TimedOut reports that the run hit Options.Deadline.
-	//
-	// Deprecated: equivalent to StopReason == StopDeadline; kept as an
-	// alias for callers predating StopReason.
-	TimedOut bool
 }

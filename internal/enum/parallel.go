@@ -53,7 +53,7 @@ package enum
 // Stats. For runs that complete, Candidates, LTRuns, OutputsTried and
 // SeedsPruned partition exactly across workers — every search-tree node is
 // executed exactly once by somebody holding the same state the serial run
-// would hold — and the merge fixes Valid to the count of cuts actually
+// would hold — and the visit point fixes Valid to the count of cuts actually
 // delivered to the visitor, so all of those equal the serial counters;
 // Duplicates+Invalid mass is likewise preserved, though attribution can
 // shift between the two (a candidate repeating an already-INVALID vertex
@@ -67,10 +67,10 @@ package enum
 // determinism contract.
 
 import (
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
+	"polyise/internal/checkpoint"
 	"polyise/internal/dfg"
 	"polyise/internal/faultinject"
 	"polyise/internal/parallel"
@@ -217,11 +217,11 @@ func (e *incEnum) runTop(pos int) {
 
 // enumerateParallel runs the sharded enumeration with the given worker
 // count (≥ 2). The caller guarantees g is frozen and has at least 2 nodes.
-// rs, when non-nil, resumes from a snapshot: workers start claiming
-// top-level positions at the snapshot frontier and the merge's dedup table
-// and delivered count are pre-seeded, so the replayed frontier subtree
-// re-emits only novel cuts (see ResumeEnumerate).
-func enumerateParallel(g *dfg.Graph, opt Options, visit func(Cut) bool, workers int, rs *resumeState) Stats {
+// snap, when non-nil, resumes from a snapshot: workers start claiming
+// top-level positions at the snapshot frontier and the visit point's dedup
+// table and delivered count are pre-seeded, so the replayed frontier
+// subtree re-emits only novel cuts (see ResumeEnumerate).
+func enumerateParallel(g *dfg.Graph, opt Options, visit func(Cut) bool, workers int, snap *checkpoint.Snapshot) Stats {
 	n := g.N()
 	if workers > n {
 		// More initial shards than first-output positions would only burn
@@ -230,10 +230,6 @@ func enumerateParallel(g *dfg.Graph, opt Options, visit func(Cut) bool, workers 
 		workers = n
 	}
 	sh := newEnumShared(g, opt)
-	var ck *ckptWriter
-	if opt.CheckpointPath != "" {
-		ck = newCkptWriter(g, opt)
-	}
 
 	// Shards must hand cuts across goroutines, so their node sets are
 	// always cloned regardless of the caller's KeepCuts; the visitor
@@ -253,10 +249,17 @@ func enumerateParallel(g *dfg.Graph, opt Options, visit func(Cut) bool, workers 
 	var next atomic.Int64
 	var mu sync.Mutex
 	var agg Stats
-	if rs != nil {
-		next.Store(int64(rs.startTop))
-		agg = rs.stats // counter baseline; Valid is overwritten below
-		agg.Valid = 0
+	var mStats Stats // the merge's stop reason and first error
+	vp := newVisitPoint(g, opt, visit, snap, newSigSet(), &mStats)
+	if snap != nil {
+		// Workers claim from the frontier on; the top-level segments before
+		// it, which no worker will claim, close empty so the drain walks
+		// straight past them.
+		next.Store(int64(snap.CurTop))
+		agg = statsFromCounters(snap.Stats) // counter baseline
+		for i := 0; i < snap.CurTop; i++ {
+			st.ord.Close(st.ord.Top(i))
+		}
 	}
 
 	var wg sync.WaitGroup
@@ -316,125 +319,41 @@ func enumerateParallel(g *dfg.Graph, opt Options, visit func(Cut) bool, workers 
 	}
 
 	// Merge stage: drain the segment list in order, dedup across scopes
-	// (first occurrence wins, matching the serial global dedup), and feed
-	// the caller's visitor until it stops. Draining continues after a stop
-	// so blocked producers always finish, but post-stop cuts are discarded
-	// without deduping — under a dedup budget the global table must not
-	// keep growing, and post-stop Duplicates attribution is outside the
-	// Stats contract anyway; `discarded` keeps the arithmetic exact for the
-	// pre-stop prefix. The merge is also a containment boundary: a
-	// panicking visitor becomes the run's first error while the drain keeps
-	// going, so no producer is left blocked on a full buffer.
-	seen := newSigSet()
-	var mStats Stats // merge-level stop reason and first error
-	emitted, unique, visited, discarded := 0, 0, 0, 0
-	startTop := 0
-	if rs != nil {
-		// Resume seeding: the pre-snapshot prefix counts as visited (MaxCuts
-		// and CheckpointEvery bind across the seam), its digests suppress
-		// re-delivery from the replayed frontier subtree, and the top-level
-		// segments before the frontier — which no worker will claim — close
-		// empty so the drain walks straight past them.
-		startTop = rs.startTop
-		visited = int(rs.visited)
-		for _, d := range rs.digests {
-			seen.Insert(d)
-		}
-		for i := 0; i < startTop && i < n; i++ {
-			st.ord.Close(st.ord.Top(i))
-		}
-	}
-	curTop := startTop // top-level position of the last delivered cut
-	safeVisit := func(c Cut) (ok bool) {
-		defer func() {
-			if v := recover(); v != nil {
-				if mStats.Err == nil {
-					mStats.Err = &PanicError{Value: v, Stack: debug.Stack()}
-				}
-				mStats.RecordStop(StopError)
-				ok = false
-			}
-		}()
-		return visit(c)
-	}
+	// (first occurrence wins, matching the serial global dedup), and hand
+	// novel cuts to the visit point until it stops. Draining continues
+	// after a stop so blocked producers always finish, but post-stop cuts
+	// are discarded without deduping — under a dedup budget the global
+	// table must not keep growing, and post-stop Duplicates attribution is
+	// outside the Stats contract anyway; `discarded` keeps the arithmetic
+	// exact for the pre-stop prefix. The visit point contains a panicking
+	// visitor as the run's first error while the drain keeps going, so no
+	// producer is left blocked on a full buffer.
+	emitted, unique, discarded := 0, 0, 0
 	st.ord.DrainWithIndex(func(top int, c Cut) {
 		emitted++
 		if stop.Load() {
 			discarded++
 			return
 		}
-		if opt.MaxDedupBytes > 0 && seen.WouldGrowPast(opt.MaxDedupBytes) {
+		if opt.MaxDedupBytes > 0 && vp.seen.WouldGrowPast(opt.MaxDedupBytes) {
 			mStats.RecordStop(StopBudget)
 			stop.Store(true)
 			discarded++
 			return
 		}
-		if !seen.Insert(c.Nodes.Hash128()) {
+		if !vp.seen.Insert(c.Nodes.Hash128()) {
 			return
 		}
 		unique++
-		visited++
-		curTop = top
-		if !safeVisit(c) {
-			// A voluntary visitor stop; on a visitor panic RecordStop's
-			// max-precedence keeps the StopError recorded by safeVisit.
-			mStats.RecordStop(StopVisitor)
+		if !vp.deliver(top, c) {
 			stop.Store(true)
-			return
-		}
-		if opt.MaxCuts > 0 && visited >= opt.MaxCuts {
-			mStats.RecordStop(StopBudget)
-			stop.Store(true)
-			return
-		}
-		// The merge polls the preemption hook too: workers poll it in their
-		// own Stoppers, but on a small search they may all have finished
-		// producing before the drain delivers the cut whose visitor pulls
-		// the trigger — the drain must still stop at the next visit point.
-		if opt.CheckpointStop != nil {
-			select {
-			case <-opt.CheckpointStop:
-				mStats.RecordStop(StopCheckpoint)
-				stop.Store(true)
-				return
-			default:
-			}
-		}
-		// Periodic checkpoint cadence, at the merge's global visit point —
-		// the one place where "the first `visited` cuts of the serial
-		// order" is true under any steal schedule. Every top-level segment
-		// before curTop is fully drained here, so curTop is the resume
-		// frontier. A failed write stops the run: continuing would
-		// silently void durability.
-		if ck != nil && opt.CheckpointEvery > 0 && visited%opt.CheckpointEvery == 0 {
-			if err := ck.write(ck.mergeSnap(seen, visited, curTop, mStats)); err != nil {
-				if mStats.Err == nil {
-					mStats.Err = err
-				}
-				mStats.RecordStop(StopError)
-				stop.Store(true)
-			}
 		}
 	})
 	wg.Wait()
 
-	agg.Valid = visited
 	agg.Duplicates += emitted - discarded - unique
 	addStats(&agg, mStats)
-	if ck != nil {
-		// Final snapshot, after every worker settled: resumable at the
-		// last delivered cut's frontier, or marked Done on completion.
-		snap := ck.mergeSnap(seen, visited, curTop, agg)
-		if agg.StopReason == StopNone {
-			snap.Done = true
-			snap.CurTop = n
-			snap.Digests = nil
-		}
-		if err := ck.write(snap); err != nil && agg.Err == nil {
-			agg.Err = err
-			agg.RecordStop(StopError)
-		}
-	}
+	vp.finish(&agg)
 	return agg
 }
 
@@ -448,7 +367,6 @@ func addStats(dst *Stats, s Stats) {
 	dst.SeedsPruned += s.SeedsPruned
 	dst.OutputsTried += s.OutputsTried
 	dst.Steals += s.Steals
-	dst.TimedOut = dst.TimedOut || s.TimedOut
 	dst.RecordStop(s.StopReason)
 	if dst.Err == nil {
 		dst.Err = s.Err

@@ -29,9 +29,10 @@ const (
 	StopDeadline
 	// StopCanceled: Options.Context was canceled.
 	StopCanceled
-	// StopError: a worker, steal task or the merge consumer failed — a
-	// contained panic or a steal-handoff stall. Stats.Err carries the
-	// first error, with the captured stack when it was a panic.
+	// StopError: a worker, steal task or the visitor failed — a contained
+	// panic or a steal-handoff stall — or a snapshot write failed.
+	// Stats.Err carries the first error, with the captured stack when it
+	// was a panic.
 	StopError
 )
 
@@ -56,19 +57,16 @@ func (r StopReason) String() string {
 }
 
 // RecordStop merges reason r into the stats, keeping the highest-precedence
-// reason and maintaining the deprecated TimedOut alias.
+// reason.
 func (s *Stats) RecordStop(r StopReason) {
 	if r > s.StopReason {
 		s.StopReason = r
-	}
-	if r == StopDeadline {
-		s.TimedOut = true
 	}
 }
 
 // PanicError is the first-error a contained panic is converted to: the
 // recovered value together with the stack of the panicking goroutine,
-// captured at the recovery boundary (shard, steal task, merge consumer, or
+// captured at the recovery boundary (shard, steal task, visit point, or
 // the serial search loop).
 type PanicError struct {
 	Value any

@@ -1,20 +1,19 @@
 // Package parallel is the shared concurrency substrate of polyise: a
-// work-stealing index pool with batching, and two deterministic ordered
-// merges of concurrently produced result streams.
+// work-stealing index pool with batching, and a deterministic ordered merge
+// of concurrently produced result streams.
 //
 // All enumeration grain sizes use it. Block-level sharding (a corpus of
 // basic blocks spread over GOMAXPROCS workers, internal/bench) claims block
-// indices from a Pool and writes results into a slice, so the merged output
-// is ordered exactly as the serial loop would have produced it. Intra-block
-// sharding (internal/enum's parallel Enumerate) additionally needs the
-// *streams* of per-shard results interleaved deterministically. Ordered
-// provides that for a fixed index range: producers emit into per-index
-// channels out of order, one consumer drains them in strict index order.
-// SplitOrdered generalizes it to a dynamically splittable sequence of
-// stream segments, which is what interior work-stealing needs: a producer
-// can split its stream at its current point, donating the tail of its
-// remaining work to another producer while the merged output order stays
-// exactly the order a serial execution would have produced.
+// indices from ForEach and writes results into a slice, so the merged
+// output is ordered exactly as the serial loop would have produced it.
+// Intra-block sharding (internal/enum's parallel Enumerate) additionally
+// needs the *streams* of per-shard results interleaved deterministically.
+// SplitOrdered provides that: producers emit into per-index stream
+// segments out of order, one consumer drains them in strict index order,
+// and — what interior work-stealing needs — a producer can split its
+// stream at its current point, donating the tail of its remaining work to
+// another producer while the merged output order stays exactly the order a
+// serial execution would have produced.
 //
 // The package deliberately contains no enumeration logic: it only moves
 // indices and values, so it can be raced-tested in isolation.
@@ -86,104 +85,6 @@ func ForEach(workers, n, batch int, fn func(i int)) {
 	wg.Wait()
 }
 
-// Ordered merges per-index streams, produced concurrently and out of order,
-// into the single sequence a serial loop over the indices would have
-// produced. Producers Emit values for an index and Close it exactly once;
-// one consumer calls Drain, which yields every value of index 0, then every
-// value of index 1, and so on.
-//
-// Streams are allocated lazily. NewOrdered reserves only an index table;
-// an index's buffered channel materializes at its first Emit, an index
-// closed without emitting is marked done with no channel at all, and Drain
-// releases each stream once it is exhausted. Startup cost and steady-state
-// memory therefore scale with the values actually in flight — bounded by
-// the producers and their buffers — not with n, which matters when n is
-// "one stream per graph vertex" and almost every stream is empty.
-//
-// Emit blocks when an index's buffer is full, which bounds memory: at most
-// workers×buf values sit in flight ahead of the drain frontier.
-//
-// Protocol. Producers must claim indices in ascending order (e.g. from a
-// shared atomic counter), finishing — and closing — one claim before taking
-// the next, and every index must eventually be closed. A single producer
-// owns any given index: Emit and Close for one index must come from one
-// goroutine (concurrent producers own distinct indices). Under that
-// discipline the merge cannot deadlock: the lowest unclosed index is either
-// claimed, so its producer creates the very stream Drain is waiting on (the
-// condition variable hands it over), or unclaimed, in which case all lower
-// indices are closed and some producer's next claim reaches it. Claiming
-// out of ascending order voids the guarantee — a producer blocked on a high
-// index can then starve the unproduced low index Drain is waiting for.
-type Ordered[T any] struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	chans []chan T // lazily created; nil = not yet emitted (or already drained)
-	done  []bool   // closed with no channel ever created
-	buf   int
-}
-
-// NewOrdered returns an Ordered merge over n indices whose streams carry a
-// per-index buffer of buf values once they materialize.
-func NewOrdered[T any](n, buf int) *Ordered[T] {
-	o := &Ordered[T]{chans: make([]chan T, n), done: make([]bool, n), buf: buf}
-	o.cond = sync.NewCond(&o.mu)
-	return o
-}
-
-// Emit appends v to index i's stream, materializing it on first use. It may
-// block until the consumer drains earlier indices.
-func (o *Ordered[T]) Emit(i int, v T) {
-	// Reading without the lock is safe: index i's channel is written only
-	// by its single producer — this goroutine — below.
-	ch := o.chans[i]
-	if ch == nil {
-		ch = make(chan T, o.buf)
-		o.mu.Lock()
-		o.chans[i] = ch
-		o.mu.Unlock()
-		o.cond.Broadcast()
-	}
-	ch <- v
-}
-
-// Close marks index i's stream complete. Every index must be closed exactly
-// once for Drain to terminate. An index that never emitted closes without
-// ever allocating a channel.
-func (o *Ordered[T]) Close(i int) {
-	if ch := o.chans[i]; ch != nil { // single-producer read, as in Emit
-		close(ch)
-		return
-	}
-	o.mu.Lock()
-	o.done[i] = true
-	o.mu.Unlock()
-	o.cond.Broadcast()
-}
-
-// Drain consumes the streams in strict index order, calling visit for every
-// value, and releases each stream as it finishes with it. It returns when
-// all indices are closed and drained. Early termination is the caller's
-// business: keep consuming (discarding) so blocked producers can finish.
-func (o *Ordered[T]) Drain(visit func(T)) {
-	for i := range o.chans {
-		o.mu.Lock()
-		for o.chans[i] == nil && !o.done[i] {
-			o.cond.Wait()
-		}
-		ch := o.chans[i]
-		o.mu.Unlock()
-		if ch == nil {
-			continue // closed empty, nothing was ever allocated
-		}
-		for v := range ch {
-			visit(v)
-		}
-		o.mu.Lock()
-		o.chans[i] = nil // release the drained stream's buffer
-		o.mu.Unlock()
-	}
-}
-
 // Seg is one stream segment of a SplitOrdered merge: a contiguous slice of
 // the merged output sequence, produced by exactly one producer at a time.
 // Ownership is transferable (a donor hands a stolen segment to a thief),
@@ -197,8 +98,8 @@ type Seg[T any] struct {
 
 // SplitOrdered merges a dynamically growing, ordered list of stream
 // segments into the single sequence a serial execution would have produced.
-// It starts as n top-level segments (exactly Ordered's shape: one per
-// top-level work index, drained in index order), but any producer may call
+// It starts as n top-level segments (one per top-level work index, drained
+// in index order), but any producer may call
 // Split on the segment it is currently emitting into, which splices a
 // (stolen, resume) segment pair into the list right after it. The stolen
 // segment carries the output of donated work that serially comes after
@@ -208,10 +109,14 @@ type Seg[T any] struct {
 // deterministic merge: hierarchical sequence numbers are represented
 // structurally, as positions in the segment list, instead of numerically.
 //
-// Streams are allocated lazily exactly as in Ordered: a segment's channel
-// materializes at its first Emit, a segment closed without emitting never
-// allocates one, and Drain releases each stream once it is exhausted. Emit
-// blocks when a segment's buffer is full, bounding in-flight memory.
+// Streams are allocated lazily: a segment's channel materializes at its
+// first Emit, a segment closed without emitting never allocates one, and
+// Drain releases each stream once it is exhausted. Startup cost and
+// steady-state memory therefore scale with the values actually in flight —
+// bounded by the producers and their buffers — not with n, which matters
+// when n is "one stream per graph vertex" and almost every stream is
+// empty. Emit blocks when a segment's buffer is full, bounding in-flight
+// memory: at most producers×buf values sit ahead of the drain frontier.
 //
 // Protocol. Every segment must be closed exactly once, and a segment's
 // Emit/Close calls must come from its single current owner. Split may only
@@ -225,7 +130,13 @@ type Seg[T any] struct {
 // discipline the head segment's owner is either runnable or blocked
 // emitting into the head itself, which the consumer is draining. Publishing
 // a stolen segment without a committed executor voids the guarantee — the
-// consumer would wait on a stream nobody is going to close.
+// consumer would wait on a stream nobody is going to close. Likewise,
+// producers must claim top-level segments in ascending index order (e.g.
+// from a shared atomic counter), closing one claim before taking the next:
+// the lowest unclosed top-level segment is then either claimed, so a live
+// producer owns it, or unclaimed with every lower one closed, so some
+// producer's next claim reaches it. Claiming out of order lets producers
+// blocked on high indices starve the low index the consumer waits for.
 type SplitOrdered[T any] struct {
 	mu   sync.Mutex
 	cond *sync.Cond

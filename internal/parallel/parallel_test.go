@@ -55,13 +55,14 @@ func TestForEachConcurrentWriters(t *testing.T) {
 	}
 }
 
-// TestOrderedMergesInIndexOrder has six producers claim indices in the
-// mandated ascending order but complete them at scrambled times (jitter
-// sleeps), so streams finish out of order; the merged sequence must still
-// be sorted by index with per-index emit order preserved.
+// TestOrderedMergesInIndexOrder checks the ordered merge without splits:
+// six producers claim top-level segments in the mandated ascending order
+// but complete them at scrambled times (jitter sleeps), so streams finish
+// out of order; the merged sequence must still be sorted by index with
+// per-index emit order preserved.
 func TestOrderedMergesInIndexOrder(t *testing.T) {
 	const n, perIndex = 50, 7
-	ord := NewOrdered[[2]int](n, 2)
+	o := NewSplitOrdered[[2]int](n, 2)
 	var wg sync.WaitGroup
 	var next atomic.Int64
 	for w := 0; w < 6; w++ {
@@ -76,14 +77,14 @@ func TestOrderedMergesInIndexOrder(t *testing.T) {
 				// Scramble real-time completion order across workers.
 				time.Sleep(time.Duration((idx*37+11)%5) * time.Millisecond)
 				for k := 0; k < perIndex; k++ {
-					ord.Emit(idx, [2]int{idx, k})
+					o.Emit(o.Top(idx), [2]int{idx, k})
 				}
-				ord.Close(idx)
+				o.Close(o.Top(idx))
 			}
 		}()
 	}
 	var got [][2]int
-	ord.Drain(func(v [2]int) { got = append(got, v) })
+	o.Drain(func(v [2]int) { got = append(got, v) })
 	wg.Wait()
 
 	if len(got) != n*perIndex {
@@ -96,207 +97,29 @@ func TestOrderedMergesInIndexOrder(t *testing.T) {
 	}
 }
 
-// TestOrderedEmptyStreams checks that indices with no values don't stall
+// TestOrderedEmptyStreams checks that segments with no values don't stall
 // the drain.
 func TestOrderedEmptyStreams(t *testing.T) {
-	ord := NewOrdered[int](10, 1)
+	o := NewSplitOrdered[int](10, 1)
 	go func() {
 		for i := 0; i < 10; i++ {
 			if i == 4 {
-				ord.Emit(i, 42)
+				o.Emit(o.Top(i), 42)
 			}
-			ord.Close(i)
+			o.Close(o.Top(i))
 		}
 	}()
 	var got []int
-	ord.Drain(func(v int) { got = append(got, v) })
+	o.Drain(func(v int) { got = append(got, v) })
 	if len(got) != 1 || got[0] != 42 {
 		t.Fatalf("got %v, want [42]", got)
 	}
 }
 
-// TestOrderedBackpressure proves a producer far ahead of the drain frontier
-// blocks on its buffer instead of accumulating unboundedly, and unblocks
-// once the frontier arrives.
-func TestOrderedBackpressure(t *testing.T) {
-	ord := NewOrdered[int](2, 1)
-	blocked := make(chan struct{})
-	go func() {
-		ord.Emit(1, 0)
-		ord.Emit(1, 1) // buffer of index 1 is full: must block until index 0 closes
-		close(blocked)
-		ord.Emit(1, 2)
-		ord.Close(1)
-	}()
-	time.Sleep(50 * time.Millisecond) // give the producer time to (wrongly) run ahead
-	select {
-	case <-blocked:
-		t.Fatal("producer ran past a full buffer with the frontier behind it")
-	default:
-	}
-	ord.Close(0)
-	var got []int
-	ord.Drain(func(v int) { got = append(got, v) })
-	<-blocked
-	if len(got) != 3 {
-		t.Fatalf("drained %v", got)
-	}
-}
-
-// TestOrderedLazyAllocation pins the lazy-stream contract: indices closed
-// without emitting never materialize a channel, emitting indices allocate
-// exactly one, and Drain releases each stream after exhausting it — so
-// buffer memory follows the values in flight, not the index count.
-func TestOrderedLazyAllocation(t *testing.T) {
-	const n = 1 << 12
-	ord := NewOrdered[int](n, 64)
-	live := func() int {
-		ord.mu.Lock()
-		defer ord.mu.Unlock()
-		c := 0
-		for _, ch := range ord.chans {
-			if ch != nil {
-				c++
-			}
-		}
-		return c
-	}
-	if got := live(); got != 0 {
-		t.Fatalf("NewOrdered materialized %d channels up front, want 0", got)
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < n; i++ {
-			if i%97 == 0 {
-				ord.Emit(i, i) // every 97th index carries one value
-			}
-			ord.Close(i)
-		}
-	}()
-	drained := 0
-	ord.Drain(func(v int) {
-		if v%97 != 0 {
-			t.Errorf("unexpected value %d", v)
-		}
-		drained++
-	})
-	wg.Wait()
-	if want := (n + 96) / 97; drained != want {
-		t.Fatalf("drained %d values, want %d", drained, want)
-	}
-	if got := live(); got != 0 {
-		t.Fatalf("%d channels still live after Drain, want 0 (streams must be released)", got)
-	}
-}
-
-// TestOrderedEarlyTerminatingConsumer pins the early-termination contract
-// stated on Drain: a consumer that loses interest must keep draining
-// (discarding) rather than return, and doing so lets every producer —
-// including ones blocked on a full buffer — run to completion. The buffers
-// are tiny and the producers emit far more than the consumer wants, so a
-// consumer that actually stopped would deadlock the test.
-func TestOrderedEarlyTerminatingConsumer(t *testing.T) {
-	const n, perIndex, wantOnly = 64, 50, 5
-	ord := NewOrdered[int](n, 1)
-	var wg sync.WaitGroup
-	var next atomic.Int64
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				idx := int(next.Add(1)) - 1
-				if idx >= n {
-					return
-				}
-				for k := 0; k < perIndex; k++ {
-					ord.Emit(idx, idx*perIndex+k)
-				}
-				ord.Close(idx)
-			}
-		}()
-	}
-	kept := []int{}
-	total := 0
-	ord.Drain(func(v int) {
-		total++
-		if len(kept) < wantOnly { // "stopped" consumer: discard the rest
-			kept = append(kept, v)
-		}
-	})
-	wg.Wait()
-	if total != n*perIndex {
-		t.Fatalf("drained %d values, want %d — producers were stranded", total, n*perIndex)
-	}
-	for i, v := range kept {
-		if v != i {
-			t.Fatalf("prefix position %d: got %d, want %d", i, v, i)
-		}
-	}
-}
-
-// TestOrderedAscendingClaimNoStarvation is the lowest-unclosed-index
-// starvation guard: under the mandated ascending-claim discipline, workers
-// that park on high indices (tiny buffers, the drain frontier far behind)
-// can never starve the lowest unclosed index, because its producer either
-// exists or will be the next claim of whoever finishes first. The claim
-// order is steal-shaped on purpose — a worker grabs a new index the moment
-// it finishes one, so late indices are claimed while early ones are still
-// emitting — and the whole run is bounded by a watchdog so a starvation
-// bug fails fast instead of hanging the suite.
-func TestOrderedAscendingClaimNoStarvation(t *testing.T) {
-	const n, perIndex = 200, 9
-	ord := NewOrdered[int](n, 1) // 1-slot buffers: maximal blocking pressure
-	var wg sync.WaitGroup
-	var next atomic.Int64
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				idx := int(next.Add(1)) - 1
-				if idx >= n {
-					return
-				}
-				// Invert completion speed: early indices are slow, so high
-				// indices pile up blocked ahead of the frontier.
-				if idx < 8 {
-					time.Sleep(time.Duration(8-idx) * time.Millisecond)
-				}
-				for k := 0; k < perIndex; k++ {
-					ord.Emit(idx, idx)
-				}
-				ord.Close(idx)
-			}
-		}(w)
-	}
-	done := make(chan []int, 1)
-	go func() {
-		var got []int
-		ord.Drain(func(v int) { got = append(got, v) })
-		done <- got
-	}()
-	select {
-	case got := <-done:
-		if len(got) != n*perIndex {
-			t.Fatalf("drained %d values, want %d", len(got), n*perIndex)
-		}
-		for j, v := range got {
-			if v != j/perIndex {
-				t.Fatalf("position %d: got %d, want %d — index order violated", j, v, j/perIndex)
-			}
-		}
-	case <-time.After(60 * time.Second):
-		t.Fatal("drain starved: lowest unclosed index never progressed")
-	}
-	wg.Wait()
-}
-
 // TestSplitOrderedWithoutSplitsMatchesOrdered checks the degenerate case:
-// with no Split calls, SplitOrdered is exactly Ordered — per-index streams
-// merged in index order, empty segments skipped, lazy channels released.
+// with no Split calls the merge is a plain per-index ordered merge —
+// per-index streams merged in index order, empty segments skipped, lazy
+// channels released.
 func TestSplitOrderedWithoutSplitsMatchesOrdered(t *testing.T) {
 	const n = 40
 	o := NewSplitOrdered[int](n, 2)
@@ -336,6 +159,194 @@ func TestSplitOrderedWithoutSplitsMatchesOrdered(t *testing.T) {
 			t.Fatalf("position %d: got %d, want %d", j, got[j], want[j])
 		}
 	}
+}
+
+// TestSplitOrderedBackpressure proves a producer far ahead of the drain
+// frontier blocks on its buffer instead of accumulating unboundedly, and
+// unblocks once the frontier arrives.
+func TestSplitOrderedBackpressure(t *testing.T) {
+	o := NewSplitOrdered[int](2, 1)
+	blocked := make(chan struct{})
+	go func() {
+		s := o.Top(1)
+		o.Emit(s, 0)
+		o.Emit(s, 1) // segment 1's buffer is full: must block until segment 0 closes
+		close(blocked)
+		o.Emit(s, 2)
+		o.Close(s)
+	}()
+	time.Sleep(50 * time.Millisecond) // give the producer time to (wrongly) run ahead
+	select {
+	case <-blocked:
+		t.Fatal("producer ran past a full buffer with the frontier behind it")
+	default:
+	}
+	o.Close(o.Top(0))
+	var got []int
+	o.Drain(func(v int) { got = append(got, v) })
+	<-blocked
+	if len(got) != 3 {
+		t.Fatalf("drained %v", got)
+	}
+}
+
+// TestSplitOrderedLazyAllocation pins the lazy-stream contract: segments
+// closed without emitting never materialize a channel, spliced ones
+// included, and Drain releases each stream after exhausting it — so buffer
+// memory follows the values in flight, not the segment count.
+func TestSplitOrderedLazyAllocation(t *testing.T) {
+	const n = 1 << 12
+	o := NewSplitOrdered[int](n, 64)
+	live := func() int {
+		o.mu.Lock()
+		defer o.mu.Unlock()
+		c := 0
+		for s := &o.base[0]; s != nil; s = s.next {
+			if s.ch != nil {
+				c++
+			}
+		}
+		return c
+	}
+	if got := live(); got != 0 {
+		t.Fatalf("NewSplitOrdered materialized %d channels up front, want 0", got)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < n; i++ {
+			s := o.Top(i)
+			if i%97 == 0 {
+				o.Emit(s, i) // every 97th segment carries one value
+			}
+			if i%194 == 0 { // and every other one of those splits, empty
+				stolen, resume := o.Split(s)
+				o.Close(s)
+				o.Close(stolen)
+				s = resume
+			}
+			o.Close(s)
+		}
+	}()
+	drained := 0
+	o.Drain(func(v int) {
+		if v%97 != 0 {
+			t.Errorf("unexpected value %d", v)
+		}
+		drained++
+	})
+	wg.Wait()
+	if want := (n + 96) / 97; drained != want {
+		t.Fatalf("drained %d values, want %d", drained, want)
+	}
+	if got := live(); got != 0 {
+		t.Fatalf("%d channels still live after Drain, want 0 (streams must be released)", got)
+	}
+}
+
+// TestOrderedEarlyTerminatingConsumer pins the early-termination contract
+// stated on Drain for concurrent producers: a consumer that loses interest
+// must keep draining (discarding) rather than return, and doing so lets
+// every producer — including ones blocked on a full buffer — run to
+// completion. The buffers are tiny and the producers emit far more than
+// the consumer wants, so a consumer that actually stopped would deadlock
+// the test.
+func TestOrderedEarlyTerminatingConsumer(t *testing.T) {
+	const n, perIndex, wantOnly = 64, 50, 5
+	o := NewSplitOrdered[int](n, 1)
+	var wg sync.WaitGroup
+	var next atomic.Int64
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				idx := int(next.Add(1)) - 1
+				if idx >= n {
+					return
+				}
+				for k := 0; k < perIndex; k++ {
+					o.Emit(o.Top(idx), idx*perIndex+k)
+				}
+				o.Close(o.Top(idx))
+			}
+		}()
+	}
+	kept := []int{}
+	total := 0
+	o.Drain(func(v int) {
+		total++
+		if len(kept) < wantOnly { // "stopped" consumer: discard the rest
+			kept = append(kept, v)
+		}
+	})
+	wg.Wait()
+	if total != n*perIndex {
+		t.Fatalf("drained %d values, want %d — producers were stranded", total, n*perIndex)
+	}
+	for i, v := range kept {
+		if v != i {
+			t.Fatalf("prefix position %d: got %d, want %d", i, v, i)
+		}
+	}
+}
+
+// TestSplitOrderedAscendingClaimNoStarvation is the lowest-unclosed-segment
+// starvation guard: under the mandated ascending-claim discipline, workers
+// that park on high indices (tiny buffers, the drain frontier far behind)
+// can never starve the lowest unclosed top-level segment, because its
+// producer either exists or will be the next claim of whoever finishes
+// first. The claim order is steal-shaped on purpose — a worker grabs a new
+// index the moment it finishes one, so late indices are claimed while
+// early ones are still emitting — and the whole run is bounded by a
+// watchdog so a starvation bug fails fast instead of hanging the suite.
+func TestSplitOrderedAscendingClaimNoStarvation(t *testing.T) {
+	const n, perIndex = 200, 9
+	o := NewSplitOrdered[int](n, 1) // 1-slot buffers: maximal blocking pressure
+	var wg sync.WaitGroup
+	var next atomic.Int64
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				// Invert completion speed: early indices are slow, so high
+				// indices pile up blocked ahead of the frontier.
+				if i < 8 {
+					time.Sleep(time.Duration(8-i) * time.Millisecond)
+				}
+				for k := 0; k < perIndex; k++ {
+					o.Emit(o.Top(i), i)
+				}
+				o.Close(o.Top(i))
+			}
+		}()
+	}
+	done := make(chan []int, 1)
+	go func() {
+		var got []int
+		o.Drain(func(v int) { got = append(got, v) })
+		done <- got
+	}()
+	select {
+	case got := <-done:
+		if len(got) != n*perIndex {
+			t.Fatalf("drained %d values, want %d", len(got), n*perIndex)
+		}
+		for j, v := range got {
+			if v != j/perIndex {
+				t.Fatalf("position %d: got %d, want %d — index order violated", j, v, j/perIndex)
+			}
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("drain starved: lowest unclosed segment never progressed")
+	}
+	wg.Wait()
 }
 
 // TestSplitOrderedSpliceOrder pins the list semantics of Split with a
@@ -449,9 +460,10 @@ func TestSplitOrderedConcurrentRecursiveSplits(t *testing.T) {
 	}
 }
 
-// TestSplitOrderedEarlyDiscard mirrors the Ordered early-termination test
-// for the splittable merge: a consumer that discards after a prefix still
-// drains every segment, including ones spliced in mid-drain.
+// TestSplitOrderedEarlyDiscard pins the early-termination contract stated
+// on Drain: a consumer that loses interest must keep draining (discarding)
+// rather than return, and doing so lets the producer — blocked on 1-slot
+// buffers — run to completion, including segments spliced in mid-drain.
 func TestSplitOrderedEarlyDiscard(t *testing.T) {
 	const n = 16
 	o := NewSplitOrdered[int](n, 1)
@@ -479,7 +491,7 @@ func TestSplitOrderedEarlyDiscard(t *testing.T) {
 		}
 	})
 	wg.Wait()
-	if total != 4*n {
-		t.Fatalf("drained %d values, want %d", total, 4*n)
+	if total != 4*n || kept != 8 {
+		t.Fatalf("drained %d values (%d of segments 0-1), want %d (8)", total, kept, 4*n)
 	}
 }
